@@ -14,12 +14,12 @@
 //!    a reusable [`Study`] that owns the retained
 //!    [`CholeskyFactor`]/[`LuFactor`]/PCG operator state.
 //! 2. [`Study::solve`] / [`Study::solve_batch`] then answer
-//!    [`Scenario`]s — prescribed GPR or prescribed fault current — at
-//!    `O(N²)` back-substitution cost each, pool-parallel over scenarios
-//!    through the multi-RHS
-//!    [`solve_many`](layerbem_numeric::CholeskyFactor::solve_many)
-//!    kernels, and **bit-identical** to what N independent legacy
-//!    [`GroundingSystem::solve`] calls would have produced.
+//!    [`Scenario`]s — prescribed GPR or prescribed fault current. The
+//!    problem is linear, so a whole sweep costs one unit-GPR solve
+//!    (`O(N²)` back-substitution, or one PCG run) plus an `O(N)` scaling
+//!    per scenario, and every answer is **bit-identical** to what N
+//!    independent legacy [`GroundingSystem::solve`] calls would have
+//!    produced.
 //!
 //! Every failure on this path is a typed error ([`PrepareError`],
 //! [`SolveError`]) instead of a panic, and [`Study::profile`] exposes the
@@ -702,68 +702,43 @@ impl Study {
     /// and the solution is scaled by the scenario's drive exactly as the
     /// legacy scaling did.
     pub fn solve(&self, scenario: &Scenario) -> Result<GroundingSolution, SolveError> {
-        // Validate before paying the backsolve: an invalid drive must not
-        // cost O(N²) work or count as a served scenario.
-        if !scenario.is_valid() {
-            return Err(SolveError::NonPositiveDrive {
-                scenario: *scenario,
-            });
-        }
-        let (q_unit, iterations) = self.solve_unit()?;
-        let solution = self.package(q_unit, scenario, iterations)?;
-        // Count only successfully served scenarios.
-        self.solves.fetch_add(1, Ordering::Relaxed);
-        Ok(solution)
+        let mut one = self.solve_batch(std::slice::from_ref(scenario))?;
+        Ok(one
+            .pop()
+            .expect("a one-scenario batch answers one scenario"))
     }
 
-    /// Answers a whole scenario sweep from the single retained
-    /// factorization: one multi-RHS
-    /// [`solve_many`](CholeskyFactor::solve_many) call — pool-parallel
-    /// over the scenario columns when parallelism is configured — then a
-    /// per-scenario scaling.
+    /// Answers a whole scenario sweep from **one** unit-GPR solve of the
+    /// retained engine: every scenario only rescales that unit solution
+    /// (`O(N)` per scenario), so a k-scenario sweep costs one
+    /// back-substitution (or one PCG run) instead of k.
     ///
     /// Solutions are **bit-identical** to calling [`solve`](Self::solve)
     /// per scenario (and hence to N independent legacy solves), serial
-    /// and pooled; the first invalid scenario aborts the batch with its
-    /// error.
+    /// and pooled: every engine's unit solve is deterministic, and
+    /// [`solve`](Self::solve) is a one-scenario batch. Invalid scenarios are
+    /// rejected before any solve, the first one's error aborting the
+    /// batch; an empty sweep solves nothing.
     pub fn solve_batch(
         &self,
         scenarios: &[Scenario],
     ) -> Result<Vec<GroundingSolution>, SolveError> {
-        // Validate the whole sweep before solving anything: one bad
-        // scenario must not cost a multi-RHS solve.
+        // Validate the whole sweep before solving anything: an invalid
+        // drive must not cost O(N²) work or count as a served scenario.
         if let Some(bad) = scenarios.iter().find(|s| !s.is_valid()) {
             return Err(SolveError::NonPositiveDrive { scenario: *bad });
         }
-        match &self.engine {
-            Engine::Pcg(_) | Engine::Hierarchical(_) => {
-                scenarios.iter().map(|s| self.solve(s)).collect()
-            }
-            direct => {
-                let cols = vec![self.rhs.clone(); scenarios.len()];
-                let units = match (direct, self.opts.parallelism) {
-                    (Engine::Cholesky(f), Some(par)) => {
-                        f.solve_many_pooled(&cols, &par.pool, par.schedule)
-                    }
-                    (Engine::Cholesky(f), None) => f.solve_many(&cols),
-                    (Engine::Lu(f), Some(par)) => {
-                        f.solve_many_pooled(&cols, &par.pool, par.schedule)
-                    }
-                    (Engine::Lu(f), None) => f.solve_many(&cols),
-                    (Engine::Pcg(_), _) | (Engine::Hierarchical(_), _) => {
-                        unreachable!("handled above")
-                    }
-                };
-                let solutions: Vec<GroundingSolution> = units
-                    .into_iter()
-                    .zip(scenarios)
-                    .map(|(q_unit, s)| self.package(q_unit, s, 0))
-                    .collect::<Result<_, _>>()?;
-                // Count only successfully served scenarios.
-                self.solves.fetch_add(solutions.len(), Ordering::Relaxed);
-                Ok(solutions)
-            }
+        if scenarios.is_empty() {
+            return Ok(Vec::new());
         }
+        let (q_unit, iterations) = self.solve_unit()?;
+        let solutions: Vec<GroundingSolution> = scenarios
+            .iter()
+            .map(|s| self.package(&q_unit, s, iterations))
+            .collect::<Result<_, _>>()?;
+        // Count only successfully served scenarios.
+        self.solves.fetch_add(solutions.len(), Ordering::Relaxed);
+        Ok(solutions)
     }
 
     /// Solves the retained system for unit GPR; returns the unit leakage
@@ -819,7 +794,7 @@ impl Study {
     /// reproduce legacy solutions bit for bit.
     fn package(
         &self,
-        q_unit: Vec<f64>,
+        q_unit: &[f64],
         scenario: &Scenario,
         iterations: usize,
     ) -> Result<GroundingSolution, SolveError> {
@@ -850,7 +825,7 @@ impl Study {
 
     fn package_gpr(
         &self,
-        q_unit: Vec<f64>,
+        q_unit: &[f64],
         gpr: f64,
         iterations: usize,
         scenario: Scenario,
@@ -939,25 +914,64 @@ mod tests {
 
     #[test]
     fn solve_batch_is_bitwise_per_scenario_solve_and_amortizes_prepare() {
-        let sys = system(SolverChoice::Cholesky);
-        let study = sys.prepare().expect("prepare");
-        let scenarios: Vec<Scenario> = (1..=16).map(|i| Scenario::gpr(625.0 * i as f64)).collect();
-        let batch = study.solve_batch(&scenarios).expect("batch");
-        assert_eq!(batch.len(), 16);
-        for (sol, s) in batch.iter().zip(&scenarios) {
-            let single = study.solve(s).expect("solve");
-            assert_eq!(sol.leakage, single.leakage);
-            assert_eq!(sol.equivalent_resistance, single.equivalent_resistance);
-            assert_eq!(sol.scenario, *s);
+        use layerbem_parfor::{Schedule, ThreadPool};
+        // Mixed GPR and fault-current drives, on every engine, serial and
+        // pooled: the batch rescales one unit solve, so it must equal the
+        // per-scenario solves bit for bit.
+        let scenarios: Vec<Scenario> = (1..=16)
+            .map(|i| match i % 2 {
+                0 => Scenario::gpr(625.0 * i as f64),
+                _ => Scenario::fault_current(1_500.0 * i as f64),
+            })
+            .collect();
+        let k = scenarios.len();
+        for solver in [
+            SolverChoice::ConjugateGradient,
+            SolverChoice::Cholesky,
+            SolverChoice::Lu,
+        ] {
+            for threads in [None, Some(2), Some(4)] {
+                let base = SolveOptions {
+                    solver,
+                    ..Default::default()
+                };
+                let opts = match threads {
+                    Some(t) => base.with_parallelism(ThreadPool::new(t), Schedule::dynamic(1)),
+                    None => base,
+                };
+                let study = GroundingSystem::new(rod_mesh(6), &SoilModel::uniform(0.016), opts)
+                    .prepare()
+                    .expect("prepare");
+                let batch = study.solve_batch(&scenarios).expect("batch");
+                assert_eq!(batch.len(), k);
+                assert_eq!(study.profile().scenario_solves, k);
+                for (sol, s) in batch.iter().zip(&scenarios) {
+                    let single = study.solve(s).expect("solve");
+                    let label = format!("{solver:?} threads={threads:?} {s}");
+                    assert_eq!(sol.leakage, single.leakage, "{label}");
+                    assert_eq!(
+                        sol.equivalent_resistance, single.equivalent_resistance,
+                        "{label}"
+                    );
+                    assert_eq!(sol.solver_iterations, single.solver_iterations, "{label}");
+                    assert_eq!(sol.scenario, *s, "{label}");
+                }
+                if solver == SolverChoice::ConjugateGradient {
+                    assert!(batch.iter().all(|s| s.solver_iterations > 0));
+                }
+                // An empty sweep solves and counts nothing.
+                assert!(study.solve_batch(&[]).expect("empty batch").is_empty());
+                // The acceptance invariant: the sweep (plus the k
+                // cross-check singles) paid exactly one assembly and at
+                // most one factorization.
+                let profile = study.profile();
+                assert_eq!(profile.assemblies, 1);
+                let direct = solver != SolverChoice::ConjugateGradient;
+                assert_eq!(profile.factorizations, usize::from(direct));
+                assert_eq!(profile.scenario_solves, 2 * k);
+                assert!(profile.assembly_seconds > 0.0);
+            }
         }
-        // The acceptance invariant: the 16-scenario sweep (plus the 16
-        // cross-check singles) paid exactly one assembly and one
-        // factorization.
-        let profile = study.profile();
-        assert_eq!(profile.assemblies, 1);
-        assert_eq!(profile.factorizations, 1);
-        assert_eq!(profile.scenario_solves, 32);
-        assert!(profile.assembly_seconds > 0.0);
     }
 
     #[test]

@@ -311,65 +311,6 @@ impl LuFactor {
         x
     }
 
-    /// Solves `A·X = B` for many right-hand sides: element `i` of the
-    /// result is exactly [`solve`](Self::solve)`(rhs[i])`, in order.
-    ///
-    /// The multi-RHS kernel behind the staged scenario API: the `O(N³)`
-    /// elimination is paid once and every additional column costs only
-    /// the `O(N²)` permuted forward/backward substitution.
-    ///
-    /// # Panics
-    /// Panics if any column's length differs from the matrix order.
-    pub fn solve_many(&self, rhs: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        rhs.iter().map(|b| self.solve(b)).collect()
-    }
-
-    /// Multi-RHS solve with the columns distributed over the pool.
-    ///
-    /// Columns are cut into schedule-blocked chunks (disjoint `&mut`
-    /// blocks dispatched via [`ThreadPool::scoped_partition`], the same
-    /// ownership-partition machinery as the blocked factorizations) and
-    /// every column runs the identical serial substitution, so the
-    /// result is **bit-identical** to [`solve_many`](Self::solve_many) —
-    /// and hence to repeated single [`solve`](Self::solve) calls — for
-    /// every schedule and thread count. Single columns, 1-thread pools
-    /// and orders below [`SERIAL_CUTOFF`](Self::SERIAL_CUTOFF) run the
-    /// serial loop outright.
-    ///
-    /// # Panics
-    /// Panics if any column's length differs from the matrix order.
-    pub fn solve_many_pooled(
-        &self,
-        rhs: &[Vec<f64>],
-        pool: &ThreadPool,
-        schedule: Schedule,
-    ) -> Vec<Vec<f64>> {
-        if rhs.len() < 2 || pool.threads() == 1 || self.n < Self::SERIAL_CUTOFF {
-            return self.solve_many(rhs);
-        }
-        for (i, b) in rhs.iter().enumerate() {
-            assert_eq!(b.len(), self.n, "solve_many: rhs column {i} length");
-        }
-        let cols = rhs.len();
-        let mut out: Vec<Vec<f64>> = rhs.to_vec();
-        // Same chunk floor as the pooled factorizations: partition
-        // bookkeeping stays O(threads) even under a `dynamic,1` request.
-        let step = schedule.with_min_chunk(cols.div_ceil(4 * pool.threads()));
-        let mut parts: Vec<&mut [Vec<f64>]> = Vec::new();
-        let mut rest = out.as_mut_slice();
-        for (a, b) in step.chunk_ranges(cols, pool.threads()) {
-            let (chunk, r) = rest.split_at_mut(b - a);
-            parts.push(chunk);
-            rest = r;
-        }
-        pool.scoped_partition(&mut parts, step.partition_dispatch(), |_, block| {
-            for col in block.iter_mut() {
-                *col = self.solve(col);
-            }
-        });
-        out
-    }
-
     /// The combined `L\U` storage (strict lower triangle holds the
     /// multipliers of `L`, upper triangle holds `U`), row-major — exposed
     /// so cross-crate tests can compare factorizations bit for bit.
@@ -541,60 +482,6 @@ mod tests {
             assert_eq!(pooled.lu.as_slice(), serial.lu.as_slice(), "n={n}");
             assert_eq!(pooled.perm, serial.perm, "n={n}");
         }
-    }
-
-    #[test]
-    fn solve_many_matches_repeated_single_solves_bitwise() {
-        let a = random_matrix(50, 0xBEEF);
-        let f = LuFactor::factor(&a).unwrap();
-        let cols: Vec<Vec<f64>> = (0..4)
-            .map(|c| {
-                (0..50)
-                    .map(|i| ((i * 5 + c * 3) % 13) as f64 - 6.0)
-                    .collect()
-            })
-            .collect();
-        let many = f.solve_many(&cols);
-        assert_eq!(many.len(), cols.len());
-        for (x, b) in many.iter().zip(&cols) {
-            assert_eq!(*x, f.solve(b));
-        }
-        assert!(f.solve_many(&[]).is_empty());
-    }
-
-    #[test]
-    fn pooled_solve_many_is_bit_identical_for_every_schedule() {
-        use layerbem_parfor::{Schedule, ThreadPool};
-        let a = random_matrix(LuFactor::SERIAL_CUTOFF + 15, 0xFACE);
-        let n = a.rows();
-        let f = LuFactor::factor(&a).unwrap();
-        let cols: Vec<Vec<f64>> = (0..6)
-            .map(|c| {
-                (0..n)
-                    .map(|i| ((i * 11 + c * 7) % 19) as f64 - 9.0)
-                    .collect()
-            })
-            .collect();
-        let serial = f.solve_many(&cols);
-        for threads in [2, 4] {
-            let pool = ThreadPool::new(threads);
-            for schedule in [
-                Schedule::static_blocked(),
-                Schedule::dynamic(1),
-                Schedule::guided(1),
-            ] {
-                let pooled = f.solve_many_pooled(&cols, &pool, schedule);
-                assert_eq!(pooled, serial, "threads={threads} {}", schedule.label());
-            }
-        }
-        // Small orders take the serial path and still agree exactly.
-        let small = random_matrix(30, 3);
-        let fs = LuFactor::factor(&small).unwrap();
-        let scols: Vec<Vec<f64>> = (0..3).map(|c| vec![c as f64 + 0.5; 30]).collect();
-        assert_eq!(
-            fs.solve_many_pooled(&scols, &ThreadPool::new(4), Schedule::dynamic(2)),
-            fs.solve_many(&scols)
-        );
     }
 
     #[test]

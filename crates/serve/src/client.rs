@@ -1,7 +1,7 @@
 //! A small blocking client for the line protocol, used by the
 //! integration tests, the CI smoke job, and `examples/serve_client.rs`.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use layerbem_core::study::Scenario;
@@ -82,17 +82,21 @@ pub struct SolveReply {
 
 /// A connected client (one request/response at a time, in order).
 pub struct ServeClient {
-    writer: BufWriter<TcpStream>,
+    writer: TcpStream,
     reader: BufReader<TcpStream>,
 }
 
 impl ServeClient {
-    /// Connects to a running server.
+    /// Connects to a running server. The stream is set `TCP_NODELAY`:
+    /// the protocol is strictly request/reply, so Nagle's algorithm
+    /// would only hold a request's tail segment until the server's
+    /// delayed ACK (~40 ms).
     pub fn connect(addr: impl ToSocketAddrs) -> Result<ServeClient, ClientError> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(ServeClient {
-            writer: BufWriter::new(stream),
+            writer: stream,
             reader,
         })
     }
@@ -100,8 +104,11 @@ impl ServeClient {
     /// Sends one request document and reads one response document,
     /// unwrapping `ok:false` into [`ClientError::Server`].
     pub fn request(&mut self, request: &Json) -> Result<Json, ClientError> {
-        writeln!(self.writer, "{}", request.to_line())?;
-        self.writer.flush()?;
+        let mut out = request.to_line();
+        out.push('\n');
+        // One write per message: the line and its terminator leave as
+        // one buffer, never as a payload plus a 1-byte segment.
+        self.writer.write_all(out.as_bytes())?;
         let mut line = String::new();
         if self.reader.read_line(&mut line)? == 0 {
             return Err(ClientError::Io("server closed the connection".into()));

@@ -32,7 +32,7 @@
 //!   systems and non-finite drives all map to typed error kinds (see
 //!   [`crate::errors::ErrorKind`]).
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -812,13 +812,18 @@ fn read_line_limited(
 /// owns one (initially empty) edit-session slot, so consecutive `edit`
 /// requests on a connection keep editing the same private study; it
 /// drops with the connection.
-fn serve_connection(service: &Service, stream: TcpStream, shutdown: &AtomicBool) {
+///
+/// The stream is set `TCP_NODELAY` and every reply leaves in one
+/// `write_all` of the line plus its `\n`: with Nagle on, a reply larger
+/// than one segment would end in a small tail segment held back until
+/// the client's delayed ACK (~40 ms) — a stall no client can avoid.
+fn serve_connection(service: &Service, mut stream: TcpStream, shutdown: &AtomicBool) {
+    let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
     let _ = read_half.set_read_timeout(Some(READ_POLL));
     let mut reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
     let mut session: Option<EditSessionState> = None;
     let mut buf: Vec<u8> = Vec::new();
     loop {
@@ -830,8 +835,7 @@ fn serve_connection(service: &Service, stream: TcpStream, shutdown: &AtomicBool)
             Ok(LineRead::TooLong) => {
                 let e =
                     RequestError::protocol(format!("request line exceeds {MAX_LINE_BYTES} bytes"));
-                let _ = writeln!(writer, "{}", e.to_json().to_line());
-                let _ = writer.flush();
+                let _ = write_line(&mut stream, e.to_json().to_line());
                 return;
             }
             Ok(LineRead::Line) => {
@@ -839,7 +843,7 @@ fn serve_connection(service: &Service, stream: TcpStream, shutdown: &AtomicBool)
                 let reply =
                     service.handle_line_with_session(line.trim_end_matches('\r'), &mut session);
                 buf.clear();
-                if writeln!(writer, "{reply}").is_err() || writer.flush().is_err() {
+                if write_line(&mut stream, reply).is_err() {
                     return;
                 }
             }
@@ -853,6 +857,13 @@ fn serve_connection(service: &Service, stream: TcpStream, shutdown: &AtomicBool)
             Err(_) => return,
         }
     }
+}
+
+/// Sends one protocol line — the document and its `\n` — in a single
+/// `write_all`.
+fn write_line(stream: &mut TcpStream, mut line: String) -> std::io::Result<()> {
+    line.push('\n');
+    stream.write_all(line.as_bytes())
 }
 
 #[cfg(test)]

@@ -12,9 +12,11 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
 use std::thread;
+use std::time::Instant;
 
 use layerbem_cad::parse_case;
 use layerbem_core::{Scenario, SolveOptions, SolverChoice};
+use layerbem_serve::protocol::scenario_json;
 use layerbem_serve::{build_study, spawn, Json, ServeClient, ServerConfig};
 
 /// A small but non-trivial deck: a 3×3-cell grid in two-layer soil.
@@ -241,5 +243,114 @@ fn garbage_lines_get_protocol_errors_not_disconnects() {
     }
     let mut client = ServeClient::connect(handle.addr()).expect("connect");
     client.ping().expect("still serving");
+    handle.shutdown();
+}
+
+/// A 10×10-cell grid padded past 8 KiB with `#` comment lines, so the
+/// request line is larger than the default 8 KiB `BufWriter` capacity.
+fn padded_grid_deck() -> String {
+    let mut deck = String::from(
+        "soil two-layer 0.016 0.012 2.0\n\
+         grid rect 0 0 30 30 10 10 0.6 0.008\n\
+         solver cholesky\n",
+    );
+    while deck.len() <= 9 * 1024 {
+        deck.push_str("# padding the deck past one 8 KiB buffer: comments are ignored\n");
+    }
+    deck
+}
+
+/// Scenarios whose leakage arrays push the reply past 8 KiB too.
+const PADDED_SCENARIOS: [Scenario; 4] = [
+    Scenario::Gpr { volts: 1_000.0 },
+    Scenario::Gpr { volts: 5_000.0 },
+    Scenario::FaultCurrent { amps: 25.0 },
+    Scenario::FaultCurrent { amps: 3_000.0 },
+];
+
+/// The solve request `ServeClient::solve(deck, PADDED_SCENARIOS, true)`
+/// sends.
+fn padded_request(deck: &str) -> Json {
+    let scenarios = PADDED_SCENARIOS.iter().map(scenario_json).collect();
+    Json::obj(vec![
+        ("op", Json::str("solve")),
+        ("deck", Json::str(deck)),
+        ("scenarios", Json::Arr(scenarios)),
+        ("include_leakage", Json::Bool(true)),
+    ])
+}
+
+/// The 50th percentile of `samples` (seconds), in milliseconds.
+fn median_ms(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    1e3 * samples[samples.len() / 2]
+}
+
+/// Half of the ~40 ms delayed-ACK timer: a round trip that waits on
+/// Nagle's algorithm for a peer's delayed ACK cannot come in under it.
+const STALL_FREE_MS: f64 = 20.0;
+
+/// Cached round trips with both the request and the reply over 8 KiB
+/// answer well under the delayed-ACK timer: neither end lets a message's
+/// tail segment wait for the peer's ACK.
+#[test]
+fn large_cached_round_trips_do_not_stall_on_delayed_acks() {
+    let handle = spawn(default_server()).expect("spawn server");
+    let deck = padded_grid_deck();
+    let request = padded_request(&deck);
+    assert!(request.to_line().len() > 8 * 1024);
+    let mut client = ServeClient::connect(handle.addr()).expect("connect");
+    // The cold request prepares the study; the reply re-serializes to
+    // the exact line the server sent.
+    let cold = client.request(&request).expect("cold solve");
+    assert_eq!(cold.get("cache_hit").and_then(Json::as_bool), Some(false));
+    assert!(cold.to_line().len() > 8 * 1024, "reply must exceed 8 KiB");
+
+    let mut times = Vec::new();
+    for _ in 0..16 {
+        let t = Instant::now();
+        let reply = client
+            .solve(&deck, Some(&PADDED_SCENARIOS), true)
+            .expect("cached solve");
+        times.push(t.elapsed().as_secs_f64());
+        assert!(reply.cache_hit);
+    }
+    let p50 = median_ms(times);
+    assert!(p50 < STALL_FREE_MS, "median round trip {p50:.1} ms");
+    handle.shutdown();
+}
+
+/// The server-side half on its own: a plain client that leaves Nagle on
+/// and sends each request in one `write_all` still gets its over-8 KiB
+/// reply without a delayed-ACK stall.
+#[test]
+fn large_replies_do_not_stall_a_nagle_client() {
+    let handle = spawn(default_server()).expect("spawn server");
+    let mut line = padded_request(&padded_grid_deck()).to_line();
+    line.push('\n');
+
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut times = Vec::new();
+    for i in 0..17 {
+        let t = Instant::now();
+        stream.write_all(line.as_bytes()).expect("send");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("reply");
+        let elapsed = t.elapsed().as_secs_f64();
+        assert!(
+            reply.len() > 8 * 1024,
+            "reply must exceed 8 KiB: {}",
+            reply.len()
+        );
+        let v = Json::parse(&reply).expect("reply is JSON");
+        // The first request prepares the study; time the cached ones.
+        assert_eq!(v.get("cache_hit").and_then(Json::as_bool), Some(i > 0));
+        if i > 0 {
+            times.push(elapsed);
+        }
+    }
+    let p50 = median_ms(times);
+    assert!(p50 < STALL_FREE_MS, "median round trip {p50:.1} ms");
     handle.shutdown();
 }

@@ -349,8 +349,8 @@ fn staged_scenario_sweeps_are_bit_identical_to_repeated_legacy_solves() {
     // The PR-5 tentpole invariant: `prepare()` once + `solve_batch` over
     // a scenario sweep must reproduce, bit for bit, what N independent
     // legacy `solve` calls produced — for every solver, schedule and
-    // thread count, serial and pooled (the pooled batch runs the
-    // multi-RHS solve_many kernels over the pool).
+    // thread count, serial and pooled (the batch rescales one unit
+    // solve of the retained engine per scenario).
     let gprs = [1.0, 2_500.0, 10_000.0, 25_000.0];
     let scenarios: Vec<Scenario> = gprs.iter().map(|g| Scenario::gpr(*g)).collect();
     for (grid, mesh, soil) in grid_cases() {
